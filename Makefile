@@ -1,6 +1,6 @@
 .PHONY: all test examples bench smoke proptest margin trace chaos server \
 	server-restart loadgen restart-recovery portfolio portfolio-bench \
-	metrics metrics-overhead ci clean
+	metrics metrics-overhead perfbench ci clean
 
 all:
 	dune build
@@ -79,6 +79,13 @@ loadgen:
 restart-recovery:
 	dune exec bench/main.exe -- restart-recovery
 
+# The benchmark's own checks: its arithmetic (--selftest), then each
+# workload once at minimal size, checking metric names and units against
+# BENCHMARK.json and that every design verifies (--smoke).
+perfbench:
+	python3 perfbench/run.py --selftest
+	python3 perfbench/run.py --smoke
+
 # Tier-1 runs twice: once sequential, once with a 4-wide domain pool.
 # Every parallel consumer is bit-identical across jobs counts, so the
 # second run is a determinism check as much as a thread-safety one.
@@ -98,6 +105,7 @@ ci:
 	dune build @server
 	dune build @metrics
 	dune build @server-restart
+	$(MAKE) perfbench
 
 clean:
 	dune clean

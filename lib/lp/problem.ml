@@ -2,10 +2,10 @@ type var = int
 
 type row = { coeffs : (float * var) list; rel : Simplex.relation; rhs : float }
 
+type info = { name : string; ub : float; integer : bool }
+
 type t = {
-  mutable names : string list;  (* reversed *)
-  mutable ubs : float list;  (* reversed *)
-  mutable ints : bool list;  (* reversed *)
+  mutable vars : info array;  (* valid below [nvars], doubled when full *)
   mutable nvars : int;
   mutable rows : row list;  (* reversed *)
   mutable nrows : int;
@@ -13,11 +13,16 @@ type t = {
   mutable sense : [ `Minimize | `Maximize ];
 }
 
+type compiled = {
+  n : int;
+  base : Simplex.row array;
+  c : float array;
+  c_sense : [ `Minimize | `Maximize ];
+}
+
 let create () =
   {
-    names = [];
-    ubs = [];
-    ints = [];
+    vars = [||];
     nvars = 0;
     rows = [];
     nrows = 0;
@@ -27,10 +32,14 @@ let create () =
 
 let add_var ?(ub = infinity) ?(integer = false) t name =
   let v = t.nvars in
-  t.names <- name :: t.names;
-  t.ubs <- ub :: t.ubs;
-  t.ints <- integer :: t.ints;
-  t.nvars <- t.nvars + 1;
+  let info = { name; ub; integer } in
+  if v = Array.length t.vars then begin
+    let bigger = Array.make (max 8 (2 * v)) info in
+    Array.blit t.vars 0 bigger 0 v;
+    t.vars <- bigger
+  end;
+  t.vars.(v) <- info;
+  t.nvars <- v + 1;
   v
 
 let add_binary t name = add_var ~ub:1. ~integer:true t name
@@ -50,53 +59,70 @@ let set_objective t ~sense coeffs =
 let sense t = t.sense
 let num_vars t = t.nvars
 let num_constraints t = t.nrows
-let var_name t v = List.nth t.names (t.nvars - 1 - v)
-let is_integer t v = List.nth t.ints (t.nvars - 1 - v)
+
+let check_var t v =
+  if v < 0 || v >= t.nvars then invalid_arg "Problem: bad var"
+
+let var_name t v = check_var t v; t.vars.(v).name
+let is_integer t v = check_var t v; t.vars.(v).integer
 
 let integer_vars t =
-  let flags = Array.of_list (List.rev t.ints) in
   let acc = ref [] in
   for v = t.nvars - 1 downto 0 do
-    if flags.(v) then acc := v :: !acc
+    if t.vars.(v).integer then acc := v :: !acc
   done;
   !acc
 
 let objective_value t x =
   List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0. t.objective
 
-let solve_relaxation ?(bounds = []) t =
-  let n = t.nvars in
-  let ubs = Array.of_list (List.rev t.ubs) in
-  let extra_rows =
-    List.concat_map
-      (fun (v, lb, ub) ->
-         let rows = ref [] in
-         if lb > 0. then rows := ([ 1., v ], Simplex.Ge, lb) :: !rows;
-         if ub < infinity then rows := ([ 1., v ], Simplex.Le, ub) :: !rows;
-         !rows)
-      bounds
+let unit_row v rel rhs =
+  { Simplex.idx = [| v |]; coef = [| 1. |]; rel; rhs }
+
+(* Row order is part of the simplex's pivot-sequence contract: model rows
+   in insertion order, then one [x_v <= ub] row per finite upper bound in
+   descending variable order. *)
+let compile t =
+  let model =
+    List.rev_map
+      (fun r ->
+         {
+           Simplex.idx = Array.of_list (List.map snd r.coeffs);
+           coef = Array.of_list (List.map fst r.coeffs);
+           rel = r.rel;
+           rhs = r.rhs;
+         })
+      t.rows
   in
   let ub_rows = ref [] in
-  Array.iteri
-    (fun v ub ->
-       if ub < infinity then ub_rows := ([ 1., v ], Simplex.Le, ub) :: !ub_rows)
-    ubs;
-  let all_rows =
-    List.rev_map (fun r -> r.coeffs, r.rel, r.rhs) t.rows
-    @ !ub_rows @ extra_rows
-  in
-  let m = List.length all_rows in
-  let a = Array.make_matrix m n 0. in
-  let rel = Array.make m Simplex.Eq in
-  let b = Array.make m 0. in
-  List.iteri
-    (fun i (coeffs, r, rhs) ->
-       List.iter (fun (c, v) -> a.(i).(v) <- a.(i).(v) +. c) coeffs;
-       rel.(i) <- r;
-       b.(i) <- rhs)
-    all_rows;
-  let c = Array.make n 0. in
+  for v = 0 to t.nvars - 1 do
+    let ub = t.vars.(v).ub in
+    if ub < infinity then ub_rows := unit_row v Simplex.Le ub :: !ub_rows
+  done;
+  let c = Array.make t.nvars 0. in
   List.iter (fun (k, v) -> c.(v) <- c.(v) +. k) t.objective;
-  match t.sense with
-  | `Minimize -> Simplex.minimize ~a ~rel ~b ~c
-  | `Maximize -> Simplex.maximize ~a ~rel ~b ~c
+  {
+    n = t.nvars;
+    base = Array.of_list (model @ !ub_rows);
+    c;
+    c_sense = t.sense;
+  }
+
+(* Bound overrides follow the compiled rows in list order, the [Le] row
+   before the [Ge] row of each. *)
+let solve_compiled ?(bounds = []) p =
+  let extra =
+    List.concat_map
+      (fun (v, lb, ub) ->
+         let rows = if lb > 0. then [ unit_row v Simplex.Ge lb ] else [] in
+         if ub < infinity then unit_row v Simplex.Le ub :: rows else rows)
+      bounds
+  in
+  let rows =
+    match extra with
+    | [] -> p.base
+    | _ -> Array.append p.base (Array.of_list extra)
+  in
+  Simplex.solve ~sense:p.c_sense ~n:p.n rows ~c:p.c
+
+let solve_relaxation ?bounds t = solve_compiled ?bounds (compile t)

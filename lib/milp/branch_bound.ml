@@ -103,6 +103,12 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
     match Lp.Problem.sense problem with `Minimize -> 1.0 | `Maximize -> -1.0
   in
   let integer_vars = Array.of_list (Lp.Problem.integer_vars problem) in
+  (* Every node's relaxation is the same compiled rows plus its fixings. *)
+  let compiled = Lp.Problem.compile problem in
+  let relax node =
+    Obs.Span.with_ "lp-relax" (fun () ->
+        Lp.Problem.solve_compiled ~bounds:node.fixings compiled)
+  in
   (* Scores are dir·objective so the search always minimises. *)
   let incumbent_score = ref infinity in
   let have_incumbent = ref false in
@@ -115,7 +121,6 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
    | None -> ());
   let trace = ref [] in
   let nodes = ref 0 in
-  let proved_infeasible_root = ref false in
   let heap = Heap.create () in
   Heap.push heap neg_infinity { fixings = []; score = neg_infinity };
   let best_bound = ref neg_infinity in
@@ -152,8 +157,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
     match outcome with
     | Lp.Simplex.Unbounded ->
       invalid_arg "Branch_bound.solve: relaxation unbounded"
-    | Lp.Simplex.Infeasible ->
-      if node.fixings = [] then proved_infeasible_root := true
+    | Lp.Simplex.Infeasible -> ()
     | Lp.Simplex.Optimal { objective; solution } ->
       let score = dir *. objective in
       if not (!have_incumbent && score >= !incumbent_score -. 1e-9) then begin
@@ -170,7 +174,9 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
           integer_vars;
         match !branch_var with
         | None ->
-          (* Integral solution: round off tolerance noise and accept. *)
+          (* Integral within [integer_tolerance]: accept the LP point and
+             value as they are, unrounded — the certificate's objective
+             bytes are the LP's own. *)
           if (not !have_incumbent) || score < !incumbent_score -. 1e-9 then begin
             incumbent_score := score;
             have_incumbent := true;
@@ -202,9 +208,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
         then begin
           incr nodes;
           Resilience.Budget.consume_nodes budget 1;
-          process node
-            (Obs.Span.with_ "lp-relax" (fun () ->
-                 Lp.Problem.solve_relaxation ~bounds:node.fixings problem))
+          process node (relax node)
         end
       end
     done
@@ -242,11 +246,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
         let batch = Array.of_list (List.rev !batch) in
         let outcomes =
           Parallel.run pool
-            (Array.map
-               (fun node () ->
-                  Obs.Span.with_ "lp-relax" (fun () ->
-                      Lp.Problem.solve_relaxation ~bounds:node.fixings problem))
-               batch)
+            (Array.map (fun node () -> relax node) batch)
         in
         Array.iteri (fun i outcome -> process batch.(i) outcome) outcomes
       end
@@ -270,7 +270,6 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
         || relative_gap ~incumbent:(incumbent ()) ~bound:bound_obj < 1e-9
       then Optimal
       else Feasible
-    else if exhausted && !proved_infeasible_root then Infeasible
     else if exhausted then Infeasible
     else No_incumbent
   in
