@@ -15,6 +15,17 @@ let labeling_to_point ~num_point_vars ~xv ~xh (labeling : Types.labeling) =
 
 exception Infeasible of string
 
+let objective_step gamma =
+  let rec find q =
+    if q > 64 then None
+    else
+      let scaled = gamma *. float_of_int q in
+      if abs_float (scaled -. Float.round scaled) < 1e-9 then
+        Some (1. /. float_of_int q)
+      else find (q + 1)
+  in
+  find 1
+
 let solve ?budget ?node_limit ?(alignment = false)
     ?(gamma = 0.5) ?warm_start ?(oct_cut = 0) ?max_rows ?max_cols ?jobs
     (bg : Types.bdd_graph) =
@@ -100,7 +111,10 @@ let solve ?budget ?node_limit ?(alignment = false)
       Some (point, warm.objective)
     end
   in
-  let result = Milp.Branch_bound.solve ?budget ?node_limit ?initial ?jobs p in
+  let result =
+    Milp.Branch_bound.solve ?budget ?node_limit ?initial
+      ?objective_step:(objective_step gamma) ?jobs p
+  in
   if result.status = Milp.Branch_bound.Infeasible then
     raise
       (Infeasible

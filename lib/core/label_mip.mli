@@ -13,6 +13,15 @@
 
     Alignment (Eq 7) adds [xH_i = 1] for the terminal and all roots. *)
 
+val objective_step : float -> float option
+(** [objective_step gamma] is [Some (1 / q)] for the smallest [q ≤ 64]
+    with [gamma · q] integral, else [None]. The objective
+    γ·S + (1−γ)·D is then a multiple of [1 / q] at every subtree optimum
+    of the branch & bound: S is an integer, and D's coefficient is 0 at
+    γ = 1 while otherwise D = max(R, C, ⌈(n + k_lb)/2⌉), an integer too.
+    {!solve} passes it as {!Milp.Branch_bound.solve}'s [objective_step],
+    so nodes that cannot beat the incumbent on that lattice are pruned. *)
+
 exception Infeasible of string
 (** Raised by {!solve} when user-imposed row/column capacity constraints
     admit no labeling (§III: "COMPACT would generate a valid design D or

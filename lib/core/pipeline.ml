@@ -74,11 +74,14 @@ let run_one ~budget options bg solver =
   | Heuristic -> Label_heuristic.solve ~budget ~alignment ~gamma bg
   | Mip ->
     (* Warm start and OCT cut from the combinatorial pipeline: a quarter
-       of the rung's remaining budget, the rest to the branch & bound. *)
+       of the rung's remaining budget, the rest to the branch & bound.
+       The reported solve time covers both. *)
+    let start = Obs.Clock.now () in
     let warm =
-      Label_heuristic.solve
-        ~budget:(Resilience.Budget.slice budget ~frac:0.25)
-        ~alignment ~gamma bg
+      Obs.Span.with_ "mip-warm-start" (fun () ->
+          Label_heuristic.solve
+            ~budget:(Resilience.Budget.slice budget ~frac:0.25)
+            ~alignment ~gamma bg)
     in
     let oct_cut =
       (* Lower bound on #VH from the OCT solver's proof. With γ-weighting
@@ -87,8 +90,11 @@ let run_one ~budget options bg solver =
       if warm.Types.optimal && gamma >= 1. -. 1e-9 then warm.Types.vh_count
       else 0
     in
-    Label_mip.solve ~budget ~alignment ~gamma
-      ~warm_start:warm ~oct_cut ?max_rows ?max_cols ~jobs:options.jobs bg
+    let labeling =
+      Label_mip.solve ~budget ~alignment ~gamma
+        ~warm_start:warm ~oct_cut ?max_rows ?max_cols ~jobs:options.jobs bg
+    in
+    { labeling with solve_time = Obs.Clock.now () -. start }
   | Auto | Portfolio -> assert false
 
 (* The Auto/Portfolio rung ladder for a given graph: MIP while the

@@ -96,7 +96,7 @@ type node = {
 let c_nodes = Obs.Counter.make "bb.nodes"
 
 let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
-    ?initial ?(integer_tolerance = 1e-6) ?(jobs = 1) problem =
+    ?initial ?(integer_tolerance = 1e-6) ?objective_step ?(jobs = 1) problem =
   let start = Obs.Clock.now () in
   let elapsed () = Obs.Clock.now () -. start in
   let dir =
@@ -119,6 +119,20 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
      have_incumbent := true;
      incumbent_point := Some (Array.copy point)
    | None -> ());
+  (* A node whose bound cannot beat the incumbent is neither solved nor
+     branched. With [objective_step], no integral point in the subtree can
+     score below the bound rounded up to the next multiple of the step
+     (less a tolerance for LP round-off), which closes the gap to an
+     incumbent that is already optimal. *)
+  let dominated score =
+    !have_incumbent
+    && (score >= !incumbent_score -. 1e-9
+        ||
+        match objective_step with
+        | Some step ->
+          ceil ((score -. 1e-6) /. step) *. step >= !incumbent_score -. 1e-9
+        | None -> false)
+  in
   let trace = ref [] in
   let nodes = ref 0 in
   let heap = Heap.create () in
@@ -160,7 +174,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
     | Lp.Simplex.Infeasible -> ()
     | Lp.Simplex.Optimal { objective; solution } ->
       let score = dir *. objective in
-      if not (!have_incumbent && score >= !incumbent_score -. 1e-9) then begin
+      if not (dominated score) then begin
         let branch_var = ref None in
         let best_frac = ref integer_tolerance in
         Array.iter
@@ -174,15 +188,14 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
           integer_vars;
         match !branch_var with
         | None ->
-          (* Integral within [integer_tolerance]: accept the LP point and
-             value as they are, unrounded — the certificate's objective
-             bytes are the LP's own. *)
-          if (not !have_incumbent) || score < !incumbent_score -. 1e-9 then begin
-            incumbent_score := score;
-            have_incumbent := true;
-            incumbent_point := Some (Array.copy solution);
-            record ()
-          end
+          (* Integral within [integer_tolerance], and strictly better
+             than the incumbent since the node is not [dominated]: accept
+             the LP point and value as they are, unrounded — the
+             certificate's objective bytes are the LP's own. *)
+          incumbent_score := score;
+          have_incumbent := true;
+          incumbent_point := Some (Array.copy solution);
+          record ()
         | Some (v, x) ->
           let lo = floor x in
           Heap.push heap score
@@ -204,8 +217,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
         let bound_improved = node.score > !best_bound +. 1e-9 in
         best_bound := max !best_bound node.score;
         if bound_improved || !nodes land 63 = 0 then record ();
-        if not (!have_incumbent && node.score >= !incumbent_score -. 1e-9)
-        then begin
+        if not (dominated node.score) then begin
           incr nodes;
           Resilience.Budget.consume_nodes budget 1;
           process node (relax node)
@@ -235,8 +247,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
           let bound_improved = node.score > !best_bound +. 1e-9 in
           best_bound := max !best_bound node.score;
           if bound_improved || !nodes land 63 = 0 then record ();
-          if not (!have_incumbent && node.score >= !incumbent_score -. 1e-9)
-          then begin
+          if not (dominated node.score) then begin
             incr nodes;
             Resilience.Budget.consume_nodes budget 1;
             batch := node :: !batch;

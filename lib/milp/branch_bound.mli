@@ -59,6 +59,7 @@ val solve :
   ?node_limit:int ->
   ?initial:float array * float ->
   ?integer_tolerance:float ->
+  ?objective_step:float ->
   ?jobs:int ->
   Lp.Problem.t ->
   result
@@ -66,6 +67,21 @@ val solve :
     variables marked integer restricted to integral values.
     [initial = (point, value)] seeds the incumbent — the point is trusted
     to be feasible. Default [integer_tolerance] is [1e-6].
+
+    A node is pruned, without solving its relaxation or branching, when
+    its bound is within [1e-9] of the incumbent or worse. [objective_step]
+    is the caller's promise that the objective lies on a lattice: in
+    every subtree that holds an integral point better than the
+    incumbent, the subtree's optimum is a multiple of [step > 0] (e.g.
+    integer objective coefficients over integer variables, [step = 1]).
+    A node is then also pruned when its bound rounded up to that lattice,
+    [ceil ((bound − 1e-6) / step) · step], reaches the incumbent less
+    [1e-9]. The same test runs at every prune site, so the
+    {!json_of_certificate} contract across [jobs] holds with the step as
+    without it. A replacement incumbent must still be strictly better
+    than the current one, so a warm start that is optimal is kept.
+    Without [objective_step] only the plain test applies. A wrong
+    promise can prune the optimum away.
 
     [budget] (default unlimited) is polled at the head of every
     expansion round and each expanded node is charged against its node

@@ -362,6 +362,34 @@ let verify_expr f (r : Compact.Pipeline.result) =
 
 let pipeline_tests =
   [
+    Alcotest.test_case "mip labeling time covers its warm start" `Quick
+      (fun () ->
+         let was = Obs.enabled () in
+         Obs.set_enabled true;
+         Obs.reset ();
+         Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+         let options =
+           { Compact.Pipeline.default_options with solver = Mip; jobs = 1 }
+         in
+         let r =
+           Compact.Pipeline.synthesize ~options (Circuits.Arith.max_unit ~bits:3 ())
+         in
+         let rows = Obs.Agg.phases (Obs.drain ()) in
+         let total name =
+           List.fold_left
+             (fun acc (row : Obs.Agg.row) ->
+                if row.r_name = name then acc +. row.r_total else acc)
+             0. rows
+         in
+         check tb "warm start spanned under the mip rung" true
+           (List.exists
+              (fun (row : Obs.Agg.row) ->
+                 row.r_name = "mip-warm-start"
+                 && String.ends_with ~suffix:"rung:mip" row.r_path)
+              rows);
+         check tb "label time covers warm start and search" true
+           (r.report.label_time
+            >= total "mip-warm-start" +. total "branch-bound"));
     Alcotest.test_case "fig2 report" `Quick (fun () ->
         let r = Compact.Pipeline.synthesize_expr ~name:"f" (e "(a & b) | c") in
         check ti "nodes" 4 r.report.bdd_nodes;
